@@ -142,9 +142,13 @@ func DefaultSystemConfig() SystemConfig {
 	}
 }
 
+// MaxCores is the largest machine the model builds: directory sharer sets
+// are 64-bit masks.
+const MaxCores = 64
+
 // Validate sanity-checks the configuration.
 func (c SystemConfig) Validate() error {
-	if c.Cores <= 0 || c.Cores > 64 {
+	if c.Cores <= 0 || c.Cores > MaxCores {
 		return fmt.Errorf("cpu: core count %d out of range", c.Cores)
 	}
 	if c.RetryLimit < 1 {

@@ -29,12 +29,14 @@ type Client struct {
 	// (capped at 2s). Default 50ms.
 	RetryDelay time.Duration
 
-	// PollInterval seeds the growing delay between job status polls
-	// (x1.5, capped at PollMax). Default 25ms.
+	// PollInterval seeds the growing delay (x1.5, capped at PollMax) that
+	// Wait sleeps after a non-terminal reply that came back before the
+	// requested long-poll wait: it paces only servers that answer early,
+	// such as one without long-poll. Default 25ms.
 	PollInterval time.Duration
-	// PollMax caps the poll interval. Default 1s.
+	// PollMax caps that delay. Default 1s.
 	PollMax time.Duration
-	// WaitTimeout bounds how long Wait polls one job. Default 15m.
+	// WaitTimeout bounds how long Wait waits for one job. Default 15m.
 	WaitTimeout time.Duration
 }
 
@@ -143,8 +145,11 @@ func (c *Client) Status(key string) (JobStatus, error) {
 	return st, err
 }
 
-// Wait polls the job until it reaches a terminal state, with a growing
-// interval and an overall timeout.
+// Wait long-polls the job until it reaches a terminal state or WaitTimeout
+// passes. Each request asks the server to hold its reply for up to MaxWait
+// (less near the timeout), and a non-terminal reply after the full wait is
+// re-asked at once. A reply that comes back early and unfinished, as from a
+// server without long-poll, is followed by the growing PollInterval sleep.
 func (c *Client) Wait(key string) (JobStatus, error) {
 	timeout := c.WaitTimeout
 	if timeout <= 0 {
@@ -160,7 +165,10 @@ func (c *Client) Wait(key string) (JobStatus, error) {
 	}
 	deadline := time.Now().Add(timeout)
 	for {
-		st, err := c.Status(key)
+		wait := max(min(MaxWait, time.Until(deadline)), 0).Truncate(time.Millisecond)
+		asked := time.Now()
+		var st JobStatus
+		err := c.do(http.MethodGet, fmt.Sprintf("/jobs/%s?wait=%dms", key, wait.Milliseconds()), nil, &st)
 		if err != nil {
 			return JobStatus{}, err
 		}
@@ -169,6 +177,9 @@ func (c *Client) Wait(key string) (JobStatus, error) {
 		}
 		if time.Now().After(deadline) {
 			return JobStatus{}, fmt.Errorf("farm: job %.12s still %s after %v", key, st.State, timeout)
+		}
+		if time.Since(asked) >= wait {
+			continue
 		}
 		time.Sleep(interval)
 		if interval = interval * 3 / 2; interval > pollMax {
@@ -219,9 +230,11 @@ func (c *Client) Runner() harness.RunnerFunc {
 		if err != nil {
 			return nil, failWith("farm submit: %v", err), false
 		}
-		st, err = c.Wait(st.Key)
-		if err != nil {
-			return nil, failWith("farm wait: %v", err), false
+		// A reply attached to a finished twin is already the answer.
+		if !st.State.Terminal() {
+			if st, err = c.Wait(st.Key); err != nil {
+				return nil, failWith("farm wait: %v", err), false
+			}
 		}
 		switch st.State {
 		case StateDone:

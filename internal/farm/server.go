@@ -23,6 +23,19 @@ import (
 // what it has but accepts nothing new (HTTP 503 on the wire).
 var ErrDraining = errors.New("farm: server is draining")
 
+// ErrUnknownJob is returned by WaitJob for a key the server never accepted
+// (HTTP 404 on the wire).
+var ErrUnknownJob = errors.New("farm: unknown job")
+
+// ErrClosed is returned by WaitJob when Close stops the server while the job
+// is still unfinished.
+var ErrClosed = errors.New("farm: server closed")
+
+// MaxWait caps the long-poll wait of GET /jobs/{key}?wait=. It stays well
+// below the 30s HTTP timeouts on both ends (clearbench -serve's WriteTimeout,
+// the Client's default http.Client), so a parked poll is never cut off.
+const MaxWait = 10 * time.Second
+
 // ExecFunc executes one run; exactly one of the results is non-nil. The
 // default is harness.RunChecked — the chaos harness swaps in flaky variants
 // to prove the retry and quarantine machinery.
@@ -97,7 +110,9 @@ type Server struct {
 	exec ExecFunc
 
 	mu       sync.Mutex
-	cond     *sync.Cond
+	cond     *sync.Cond    // wakes workers: the queue grew or the server stopped
+	idle     *sync.Cond    // wakes Drain: a job settled
+	stop     chan struct{} // closed by Close; releases WaitJob callers
 	jobs     map[string]*job
 	queue    []*job
 	running  int
@@ -121,11 +136,13 @@ func NewServer(cfg Config) *Server {
 		cfg:  cfg,
 		exec: cfg.Exec,
 		jobs: make(map[string]*job),
+		stop: make(chan struct{}),
 	}
 	if s.exec == nil {
 		s.exec = harness.RunChecked
 	}
 	s.cond = sync.NewCond(&s.mu)
+	s.idle = sync.NewCond(&s.mu)
 	for w := 0; w < cfg.Workers; w++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -188,34 +205,35 @@ func (s *Server) SubmitMatrix(req MatrixRequest) (MatrixResponse, error) {
 	return resp, nil
 }
 
-// Status returns the current status of the job keyed key.
-func (s *Server) Status(key string) (JobStatus, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[key]
-	if !ok {
-		return JobStatus{}, false
-	}
-	return j.statusLocked(), true
-}
-
-// WaitJob blocks until the job reaches a terminal state or ctx expires
-// (in-process callers; remote ones poll Status).
+// WaitJob blocks until the job reaches a terminal state, ctx expires, or the
+// server is closed, and returns the job's status at that moment (with an
+// already-expired ctx, its current status at once). The error
+// is nil exactly when the status is terminal; otherwise it says why the wait
+// ended (ctx.Err() or ErrClosed) and the status is the job's current one.
+// In-process callers and the HTTP long-poll (GET /jobs/{key}?wait=) both
+// wait here.
 func (s *Server) WaitJob(ctx context.Context, key string) (JobStatus, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[key]
 	s.mu.Unlock()
 	if !ok {
-		return JobStatus{}, fmt.Errorf("farm: unknown job %s", key)
+		return JobStatus{}, fmt.Errorf("%w %s", ErrUnknownJob, key)
 	}
+	var cause error
 	select {
 	case <-j.done:
 	case <-ctx.Done():
-		return JobStatus{}, ctx.Err()
+		cause = ctx.Err()
+	case <-s.stop:
+		cause = ErrClosed
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return j.statusLocked(), nil
+	st := j.statusLocked()
+	if st.State.Terminal() {
+		return st, nil
+	}
+	return st, cause
 }
 
 // Quarantine returns the quarantined jobs (key order): the specs whose retry
@@ -282,27 +300,37 @@ func (s *Server) Drain(ctx context.Context) error {
 		}
 	}
 	s.cond.Broadcast()
-	s.mu.Unlock()
 
-	for {
+	// Wake the wait below when ctx ends; taking the lock orders the wake-up
+	// after Wait has released it, so it cannot be missed.
+	stopWake := context.AfterFunc(ctx, func() {
 		s.mu.Lock()
-		idle := len(s.queue) == 0 && s.running == 0
-		backing := 0
-		for _, j := range s.jobs {
-			if j.state == StateBackoff {
-				backing++
-			}
-		}
+		s.idle.Broadcast()
 		s.mu.Unlock()
-		if idle && backing == 0 {
-			return nil
+	})
+	defer stopWake()
+	defer s.mu.Unlock()
+	for !s.idleLocked() {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(2 * time.Millisecond):
+		s.idle.Wait()
+	}
+	return nil
+}
+
+// idleLocked reports whether no accepted job is queued, running, or backing
+// off.
+func (s *Server) idleLocked() bool {
+	if len(s.queue) > 0 || s.running > 0 {
+		return false
+	}
+	for _, j := range s.jobs {
+		if j.state == StateBackoff {
+			return false
 		}
 	}
+	return true
 }
 
 // Close stops the worker pool without draining: workers finish the job in
@@ -317,6 +345,7 @@ func (s *Server) Close() {
 		return
 	}
 	s.stopped = true
+	close(s.stop)
 	for _, j := range s.jobs {
 		if j.state == StateBackoff && j.timer != nil {
 			j.timer.Stop()
@@ -357,7 +386,7 @@ func (s *Server) settle(j *job, payload []byte, hit bool, fail *harness.RunFailu
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.running--
-	defer s.cond.Broadcast() // wake Drain's idleness re-check
+	defer s.idle.Broadcast() // wake Drain's idleness re-check
 	if fail == nil {
 		j.state = StateDone
 		j.result = payload
@@ -467,7 +496,9 @@ func (s *Server) safeExec(p harness.RunParams) (res *harness.RunResult, fail *ha
 // Handler returns the farm's HTTP surface:
 //
 //	POST /jobs        submit one JobSpec -> JobStatus (503 while draining)
-//	GET  /jobs/{key}  poll one job -> JobStatus
+//	GET  /jobs/{key}  poll one job -> JobStatus; with ?wait=<Go duration>
+//	                  (capped at MaxWait) the reply is held until the job
+//	                  is terminal, the wait elapses, or the server closes
 //	POST /matrix      submit a MatrixRequest -> MatrixResponse
 //	GET  /quarantine  quarantined specs -> []JobStatus
 //	GET  /farm        farm-wide counters -> Stats
@@ -491,8 +522,16 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, st)
 	})
 	mux.HandleFunc("GET /jobs/{key}", func(w http.ResponseWriter, r *http.Request) {
-		st, ok := s.Status(r.PathValue("key"))
-		if !ok {
+		wait, err := parseWait(r.URL.Query().Get("wait"))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		// No wait is an already-expired one: the current status at once.
+		ctx, cancel := context.WithTimeout(r.Context(), wait)
+		defer cancel()
+		st, err := s.WaitJob(ctx, r.PathValue("key"))
+		if errors.Is(err, ErrUnknownJob) {
 			http.Error(w, "farm: unknown job", http.StatusNotFound)
 			return
 		}
@@ -539,6 +578,20 @@ func (s *Server) Handler() http.Handler {
 		mux.Handle("GET /metrics.json", s.cfg.Metrics.JSONHandler())
 	}
 	return mux
+}
+
+// parseWait reads the long-poll wait of GET /jobs/{key}: absent is 0, a
+// malformed or negative duration is an error, and anything longer than
+// MaxWait is cut to it.
+func parseWait(q string) (time.Duration, error) {
+	if q == "" {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(q)
+	if err != nil || d < 0 {
+		return 0, fmt.Errorf("farm: bad wait %q: want a non-negative Go duration", q)
+	}
+	return min(d, MaxWait), nil
 }
 
 func httpSubmitError(w http.ResponseWriter, err error) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/cpu"
 	"repro/internal/sim"
 )
 
@@ -63,7 +64,11 @@ func (rd *Reader) readHeader() error {
 	flags := binary.LittleEndian.Uint16(fixed[6:])
 	rd.meta.MemAccesses = flags&flagMemAccesses != 0
 	rd.meta.DirAccesses = flags&flagDirAccesses != 0
-	rd.meta.Cores = int(binary.LittleEndian.Uint32(fixed[8:]))
+	cores := binary.LittleEndian.Uint32(fixed[8:])
+	if cores < 1 || cores > cpu.MaxCores {
+		return fmt.Errorf("trace: header claims %d cores (want 1..%d)", cores, cpu.MaxCores)
+	}
+	rd.meta.Cores = int(cores)
 	rd.meta.Seed = binary.LittleEndian.Uint64(fixed[16:])
 	var err error
 	if rd.meta.Benchmark, err = rd.readString(); err != nil {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"testing"
@@ -179,6 +180,36 @@ func TestReaderRejectsGarbage(t *testing.T) {
 	}
 	if _, err := rd2.Next(); err == nil || err == io.EOF {
 		t.Fatalf("want truncation error, got %v", err)
+	}
+}
+
+// TestReaderRejectsCoreCount checks a header whose core count the model
+// cannot build is an error up front, not a huge per-core allocation later.
+func TestReaderRejectsCoreCount(t *testing.T) {
+	m := newTestMachine(t, 2)
+	var buf bytes.Buffer
+	tr := attachTest(t, m, &buf, Options{Benchmark: "hashmap", Config: "C"})
+	tr.OnInvocationStart(1, 1)
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, cores := range []uint32{0, cpu.MaxCores + 1, 0x7ffffff0, 0xffffffff} {
+		raw := bytes.Clone(buf.Bytes())
+		binary.LittleEndian.PutUint32(raw[8:], cores)
+		if _, err := NewReader(bytes.NewReader(raw)); err == nil {
+			t.Errorf("header claiming %d cores: want an error", cores)
+		}
+	}
+	for _, cores := range []uint32{1, cpu.MaxCores} {
+		raw := bytes.Clone(buf.Bytes())
+		binary.LittleEndian.PutUint32(raw[8:], cores)
+		rd, err := NewReader(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("header claiming %d cores: %v", cores, err)
+		}
+		if rd.Meta().Cores != int(cores) {
+			t.Fatalf("Cores = %d, want %d", rd.Meta().Cores, cores)
+		}
 	}
 }
 
